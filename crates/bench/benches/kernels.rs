@@ -1,7 +1,8 @@
 //! Compute-kernel throughput: the cache-blocked GEMM, conv, and filter
 //! kernels run serially and on the `fademl_tensor::par` worker pool at
 //! 1/2/4/8 threads. Shapes mirror the paper's victims (VGG-ish CIFAR
-//! layer, GTSRB-ish mid layer) plus the fully-connected head.
+//! layer, GTSRB-ish mid layer, the `Paper` VGG's 4×4 and 2×2 convs at
+//! serving batch 1) plus the fully-connected head.
 //!
 //! Unlike the criterion benches this one emits machine-readable
 //! artifacts — `BENCH_kernels.json` at the repo root and
@@ -50,6 +51,17 @@ fn workloads() -> Vec<Workload> {
     let gt_w = rng.uniform(&[64, 32, 3, 3], -0.5, 0.5);
     let gt_b = rng.uniform(&[64], -0.1, 0.1);
 
+    // The `Paper` VGG's small-spatial convs at serving batch 1: each
+    // per-sample GEMM output row is only 16 (conv4) or 4 (conv5) wide.
+    let p4_spec = ConvSpec::new(256, 512, 3, 1, 1);
+    let p4_x = rng.uniform(&[1, 256, 4, 4], 0.0, 1.0);
+    let p4_w = rng.uniform(&[512, 256, 3, 3], -0.05, 0.05);
+    let p4_b = rng.uniform(&[512], -0.1, 0.1);
+    let p5_spec = ConvSpec::new(512, 512, 3, 1, 1);
+    let p5_x = rng.uniform(&[1, 512, 2, 2], 0.0, 1.0);
+    let p5_w = rng.uniform(&[512, 512, 3, 3], -0.05, 0.05);
+    let p5_b = rng.uniform(&[512], -0.1, 0.1);
+
     // Pre-processing filters from the paper sweep on a serving batch.
     let batch = rng.uniform(&[8, 3, 32, 32], 0.0, 1.0);
     let grad = rng.uniform(&[8, 3, 32, 32], -1.0, 1.0);
@@ -85,6 +97,22 @@ fn workloads() -> Vec<Workload> {
             name: "conv2d_gtsrb_8x32x16x16_f64",
             run: Box::new(move || {
                 conv2d(&gt_x, &gt_w, &gt_b, &gt_spec)
+                    .expect("conv2d")
+                    .into_vec()
+            }),
+        },
+        Workload {
+            name: "conv2d_paper_conv4_1x256x4x4_f512",
+            run: Box::new(move || {
+                conv2d(&p4_x, &p4_w, &p4_b, &p4_spec)
+                    .expect("conv2d")
+                    .into_vec()
+            }),
+        },
+        Workload {
+            name: "conv2d_paper_conv5_1x512x2x2_f512",
+            run: Box::new(move || {
+                conv2d(&p5_x, &p5_w, &p5_b, &p5_spec)
                     .expect("conv2d")
                     .into_vec()
             }),

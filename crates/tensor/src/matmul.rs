@@ -14,9 +14,13 @@
 //! byte-reproducible and the seed-sensitive statistical tests stable;
 //! see the proptests in `tests/par_invariance.rs`.
 //!
-//! `B` is repacked once per call into `kc × nc` panels so the innermost
-//! loop streams over contiguous memory even for wide right-hand sides.
-//! Packing copies values without arithmetic, so it cannot perturb the
+//! `B` is repacked once per call into `kc × nc` panels cut into 8-, 4-
+//! and 1-column strips, and one micro-kernel sweeps each panel in
+//! register tiles of 4 rows of `A` by one strip. The tile's sums stay
+//! in fixed-size accumulator arrays for the whole panel, so even a
+//! product whose output rows are only a few columns wide (a conv on a
+//! 2×2 map) keeps its running sums in registers, not in `out`. Packing
+//! copies values without arithmetic, so it cannot perturb the
 //! accumulation order. On the serial path the packing panel comes from
 //! the thread-local scratch arena, so steady-state serving re-uses one
 //! high-water buffer instead of allocating per call.
@@ -29,20 +33,55 @@ use crate::plan::blueprint::{Blocking, Blueprint, OpKind};
 use crate::plan::selector;
 use crate::{par, Result, Shape, Tensor, TensorError};
 
-/// Packs `b` (`[k, n]`, row-major) into `kc × nc` panels laid out so
-/// panel `(jc, pc)` starts at `jc * k + pc * ncb` and stores its `kcb`
-/// rows contiguously (`ncb` floats each). Pure data movement. `packed`
-/// must hold exactly `k * n` elements; every slot is overwritten.
+/// Rows of `A` per register tile; a block's leftover rows run as
+/// one-row tiles. Four rows by an 8-wide strip is 8 SSE registers of
+/// accumulators, which the baseline x86-64 target holds without
+/// spilling; an 8-row tile needs all 16 and measured slower.
+const MR: usize = 4;
+
+/// Columns of the widest packed `B` strip. A panel's leftover columns
+/// are cut into one 4-wide strip (when at least 4 remain) and then
+/// 1-wide strips.
+const NR: usize = 8;
+
+/// Width of the next packed strip when `rem` columns of a panel are
+/// left. `Panel::row_tile` walks the same sequence with `chunks_exact`.
+fn strip_width(rem: usize) -> usize {
+    if rem >= NR {
+        NR
+    } else if rem >= 4 {
+        4
+    } else {
+        1
+    }
+}
+
+/// Packs `b` (`[k, n]`, row-major) into `kc × nc` panels. Panels are
+/// stored one after another, `pc`-major within each `jc` column, so
+/// panel `(jc, pc)` starts at `jc * k + pc * ncb` and holds `kcb · ncb`
+/// floats. Inside a panel the columns are cut into strips of
+/// [`strip_width`] columns, each stored `[kcb][width]` row-major, so
+/// the micro-kernel reads one contiguous strip row per `p`. Pure data
+/// movement. `packed` must hold exactly `k * n` elements; every slot is
+/// overwritten.
 pub(crate) fn pack_b_into(b: &[f32], k: usize, n: usize, bl: Blocking, packed: &mut [f32]) {
+    let mut rest = packed;
     for jc in (0..n).step_by(bl.nc) {
         let ncb = bl.nc.min(n - jc);
         for pc in (0..k).step_by(bl.kc) {
             let kcb = bl.kc.min(k - pc);
-            let dst_base = jc * k + pc * ncb;
-            for pp in 0..kcb {
-                let src = &b[(pc + pp) * n + jc..][..ncb];
-                let dst = &mut packed[dst_base + pp * ncb..][..ncb];
-                dst.copy_from_slice(src);
+            let mut j0 = 0;
+            while j0 < ncb {
+                let width = strip_width(ncb - j0);
+                let (strip, tail) = std::mem::take(&mut rest).split_at_mut(kcb * width);
+                rest = tail;
+                let src_rows = b.chunks_exact(n).skip(pc);
+                for (dst, src) in strip.chunks_exact_mut(width).zip(src_rows) {
+                    for (d, &v) in dst.iter_mut().zip(src.iter().skip(jc + j0)) {
+                        *d = v;
+                    }
+                }
+                j0 += width;
             }
         }
     }
@@ -53,10 +92,11 @@ pub(crate) fn pack_b_into(b: &[f32], k: usize, n: usize, bl: Blocking, packed: &
 /// packed with the same `bl`), accumulating into `out` (`[rows, n]`,
 /// which must arrive zeroed).
 ///
-/// Per output element the `k` terms are added in increasing-`p` order
-/// into a single accumulator chain starting at `0.0` — identical to
-/// the naive i-k-j loop, so any `(mc, kc, nc)` blocking changes nothing
-/// numerically.
+/// Each `kc` panel is swept in register tiles of [`MR`] rows by one
+/// packed strip (8, 4 or 1 columns); see [`tile`]. Per output element
+/// the `k` terms are added in increasing-`p` order into one `f32`
+/// chain starting at `0.0` — identical to the naive i-k-j loop — so
+/// any `(mc, kc, nc)` blocking changes nothing numerically.
 pub(crate) fn gemm_rows_into(
     a_block: &[f32],
     rows: usize,
@@ -66,24 +106,107 @@ pub(crate) fn gemm_rows_into(
     bl: Blocking,
     out: &mut [f32],
 ) {
+    let a_block = &a_block[..rows * k];
+    let out = &mut out[..rows * n];
+    let mut panels = packed_b;
     for jc in (0..n).step_by(bl.nc) {
         let ncb = bl.nc.min(n - jc);
         for pc in (0..k).step_by(bl.kc) {
             let kcb = bl.kc.min(k - pc);
-            let panel = &packed_b[jc * k + pc * ncb..][..kcb * ncb];
-            for ic in (0..rows).step_by(bl.mc) {
-                let mcb = bl.mc.min(rows - ic);
-                for i in ic..ic + mcb {
-                    let a_row = &a_block[i * k + pc..][..kcb];
-                    let o_row = &mut out[i * n + jc..][..ncb];
-                    for (pp, &a_ip) in a_row.iter().enumerate() {
-                        let b_row = &panel[pp * ncb..][..ncb];
-                        for (o, &b_pj) in o_row.iter_mut().zip(b_row) {
-                            *o += a_ip * b_pj;
-                        }
-                    }
+            let (b, tail) = panels.split_at(kcb * ncb);
+            panels = tail;
+            let panel = Panel { b, kcb, pc, jc };
+            for (a_rows, o_rows) in a_block.chunks(bl.mc * k).zip(out.chunks_mut(bl.mc * n)) {
+                let mut a_tiles = a_rows.chunks_exact(MR * k);
+                let mut o_tiles = o_rows.chunks_exact_mut(MR * n);
+                for (a_t, o_t) in a_tiles.by_ref().zip(o_tiles.by_ref()) {
+                    panel.row_tile::<MR>(a_t, k, o_t, n);
+                }
+                let a_left = a_tiles.remainder().chunks_exact(k);
+                let o_left = o_tiles.into_remainder().chunks_exact_mut(n);
+                for (a_t, o_t) in a_left.zip(o_left) {
+                    panel.row_tile::<1>(a_t, k, o_t, n);
                 }
             }
+        }
+    }
+}
+
+/// One packed `kcb × ncb` panel of `B`, with the depth offset `pc` and
+/// the output column `jc` it starts at.
+struct Panel<'b> {
+    b: &'b [f32],
+    kcb: usize,
+    pc: usize,
+    jc: usize,
+}
+
+impl Panel<'_> {
+    /// Multiplies the `R` rows of `a_t` (`[R, k]`) by every strip of
+    /// the panel, accumulating into the matching columns of `o_t`
+    /// (`[R, n]`).
+    fn row_tile<const R: usize>(&self, a_t: &[f32], k: usize, o_t: &mut [f32], n: usize) {
+        let mut col = self.jc;
+        let mut wide = self.b.chunks_exact(self.kcb * NR);
+        for strip in wide.by_ref() {
+            tile::<R, NR>(a_t, k, self.pc, strip, o_t, n, col);
+            col += NR;
+        }
+        let mut four = wide.remainder().chunks_exact(self.kcb * 4);
+        for strip in four.by_ref() {
+            tile::<R, 4>(a_t, k, self.pc, strip, o_t, n, col);
+            col += 4;
+        }
+        for strip in four.remainder().chunks_exact(self.kcb) {
+            tile::<R, 1>(a_t, k, self.pc, strip, o_t, n, col);
+            col += 1;
+        }
+    }
+}
+
+/// The micro-kernel: an `R × C` tile of `out` held in fixed-size
+/// accumulators across one `kcb`-deep panel. `a_t` is `[R, k]` (the
+/// tile's rows of `A`), `strip` the packed `[kcb, C]` strip of `B`,
+/// and the tile's output columns start at `col` in the `[R, n]` rows
+/// of `o_t`.
+///
+/// The accumulators are seeded from `out` and written back after the
+/// panel, and `p` runs in ascending order, so every element's `k`-sum
+/// stays the single `f32` chain of the naive loop (Rust never contracts
+/// `a * b + c` to an FMA). Narrower edge tiles are the same loop with
+/// smaller `R`/`C`. Kept out of line so each `(R, C)` gets its own
+/// register allocation.
+#[inline(never)]
+fn tile<const R: usize, const C: usize>(
+    a_t: &[f32],
+    k: usize,
+    pc: usize,
+    strip: &[f32],
+    o_t: &mut [f32],
+    n: usize,
+    col: usize,
+) {
+    let kcb = strip.len() / C;
+    // Every row is exactly `kcb` long and `p < kcb` below, which lets
+    // the compiler drop the bounds checks from the inner loop.
+    let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a_t[r * k + pc..][..kcb]);
+    let mut acc = [[0.0f32; C]; R];
+    for (acc_row, o_row) in acc.iter_mut().zip(o_t.chunks_exact(n)) {
+        for (c, &o) in acc_row.iter_mut().zip(o_row.iter().skip(col)) {
+            *c = o;
+        }
+    }
+    for (p, b_row) in strip.chunks_exact(C).enumerate().take(kcb) {
+        for (acc_row, a_row) in acc.iter_mut().zip(&a_rows) {
+            let a = a_row[p];
+            for (c, &b) in acc_row.iter_mut().zip(b_row) {
+                *c += a * b;
+            }
+        }
+    }
+    for (acc_row, o_row) in acc.iter().zip(o_t.chunks_exact_mut(n)) {
+        for (&c, o) in acc_row.iter().zip(o_row.iter_mut().skip(col)) {
+            *o = c;
         }
     }
 }
@@ -321,7 +444,7 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::blueprint::DEFAULT_BLOCKING;
+    use crate::plan::blueprint::{blocking_for, ShapeClass, DEFAULT_BLOCKING};
     use proptest::prelude::*;
 
     fn mat(rows: usize, cols: usize, v: &[f32]) -> Tensor {
@@ -383,27 +506,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_blocking_candidate_is_bit_identical() {
-        // The selector's bit-safety argument, checked directly: run the
-        // raw kernel under several (mc, kc, nc) choices and demand
-        // byte-identical output.
-        let (m, k, n) = (37, 65, 41);
-        let a: Vec<f32> = (0..m * k)
-            .map(|i| ((i * 31) % 97) as f32 * 0.5 - 20.0)
-            .collect();
-        let b: Vec<f32> = (0..k * n)
-            .map(|i| ((i * 17) % 83) as f32 * 0.25 - 9.0)
-            .collect();
-        let run = |bl: Blocking| {
-            let mut packed = vec![0.0f32; k * n];
-            pack_b_into(&b, k, n, bl, &mut packed);
-            let mut out = vec![0.0f32; m * n];
-            gemm_rows_into(&a, m, k, &packed, n, bl, &mut out);
-            out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        };
-        let reference = run(DEFAULT_BLOCKING);
-        for bl in [
+    /// Blockings the bit-exactness checks sweep: every class default,
+    /// degenerate 1×1×1 panels, blocks smaller than one register tile,
+    /// and odd sizes that leave edge tiles in every dimension.
+    fn listed_blockings() -> Vec<Blocking> {
+        let mut all = vec![
+            DEFAULT_BLOCKING,
             Blocking {
                 mc: 1,
                 kc: 1,
@@ -424,8 +532,83 @@ mod tests {
                 kc: 7,
                 nc: 11,
             },
+            Blocking {
+                mc: 13,
+                kc: 5,
+                nc: 4,
+            },
+        ];
+        for class in [
+            ShapeClass::SmallSerial,
+            ShapeClass::VecMat,
+            ShapeClass::TallSkinny,
+            ShapeClass::WideFlat,
+            ShapeClass::Square,
         ] {
-            assert_eq!(run(bl), reference, "blocking {bl:?} changed bits");
+            all.push(blocking_for(class));
+        }
+        all
+    }
+
+    /// Deterministic operand of `len` values, varied by `salt`.
+    fn operand(len: usize, salt: usize) -> Vec<f32> {
+        (0..len)
+            .map(|i| ((i * 31 + salt * 7) % 97) as f32 * 0.37 - 17.0)
+            .collect()
+    }
+
+    /// The naive i-k-j product with one accumulator per element, `p`
+    /// ascending: the order the tiled kernel must reproduce bit for bit.
+    fn naive_bits(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<u32> {
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            for p in 0..k {
+                let a_ip = a[i * k + p];
+                for j in 0..n {
+                    out[i * n + j] += a_ip * b[p * n + j];
+                }
+            }
+        }
+        out.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Runs the packed tile kernel directly under `bl`.
+    fn kernel_bits(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, bl: Blocking) -> Vec<u32> {
+        let mut packed = vec![0.0f32; k * n];
+        pack_b_into(b, k, n, bl, &mut packed);
+        let mut out = vec![0.0f32; m * n];
+        gemm_rows_into(a, m, k, &packed, n, bl, &mut out);
+        out.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn every_blocking_candidate_is_bit_identical() {
+        // The selector's bit-safety argument, checked directly: run the
+        // raw kernel under every listed (mc, kc, nc) and demand the
+        // naive single-accumulator loop's exact bits. The shapes leave
+        // rows short of and past a row tile, put n = 4 (a conv on a 2×2
+        // map) and n between strip widths, and cross kc.
+        for (m, k, n) in [
+            (1, 1, 1),
+            (7, 3, 4),
+            (8, 17, 4),
+            (9, 33, 5),
+            (16, 40, 8),
+            (17, 9, 12),
+            (3, 40, 15),
+            (40, 40, 40),
+            (37, 65, 41),
+        ] {
+            let a = operand(m * k, m);
+            let b = operand(k * n, n);
+            let reference = naive_bits(&a, &b, m, k, n);
+            for bl in listed_blockings() {
+                assert_eq!(
+                    kernel_bits(&a, &b, m, k, n, bl),
+                    reference,
+                    "{m}x{k}x{n} under {bl:?} changed bits"
+                );
+            }
         }
     }
 
@@ -509,6 +692,23 @@ mod tests {
     }
 
     proptest! {
+        /// Every shape up to 40 in each dimension, under every listed
+        /// blocking, reproduces the naive loop's bits.
+        #[test]
+        fn tiled_kernel_matches_naive_bits(
+            m in 1usize..41,
+            k in 1usize..41,
+            n in 1usize..41,
+            salt in 0usize..1000,
+        ) {
+            let a = operand(m * k, salt);
+            let b = operand(k * n, salt + 1);
+            let reference = naive_bits(&a, &b, m, k, n);
+            for bl in listed_blockings() {
+                prop_assert_eq!(kernel_bits(&a, &b, m, k, n, bl), reference.clone());
+            }
+        }
+
         /// (A·B)·C == A·(B·C) within tolerance.
         #[test]
         fn associativity(

@@ -131,6 +131,64 @@ fn conv2d_invariant_on_adversarial_shapes() {
     }
 }
 
+/// The `Paper` VGG's two small-spatial convs, where each output row of
+/// the per-sample GEMM is only 16 (conv4, 4×4) or 4 (conv5, 2×2)
+/// columns wide: forward and backward at batch 1 (serving) and 3, in a
+/// cold sweep and again once every shape key is planned and every
+/// arena warm.
+#[test]
+fn paper_small_spatial_convs_invariant_cold_and_warm() {
+    let mut rng = TensorRng::seed_from_u64(17);
+    for (name, spec, hw) in [
+        ("conv4", ConvSpec::new(256, 512, 3, 1, 1), 4),
+        ("conv5", ConvSpec::new(512, 512, 3, 1, 1), 2),
+    ] {
+        let weight = filled(
+            &mut rng,
+            &[
+                spec.out_channels,
+                spec.in_channels,
+                spec.kernel_h,
+                spec.kernel_w,
+            ],
+        );
+        let bias = filled(&mut rng, &[spec.out_channels]);
+        for batch in [1usize, 3] {
+            let input = filled(&mut rng, &[batch, spec.in_channels, hw, hw]);
+            let grad_out = filled(&mut rng, &[batch, spec.out_channels, hw, hw]);
+            let forward = || {
+                conv2d(&input, &weight, &bias, &spec)
+                    .expect("conv2d")
+                    .into_vec()
+            };
+            let backward = || {
+                let grads =
+                    conv2d_backward(&input, &weight, &grad_out, &spec).expect("conv2d_backward");
+                let mut all = grads.input.into_vec();
+                all.extend(grads.weight.into_vec());
+                all.extend(grads.bias.into_vec());
+                all
+            };
+            for (pass, op) in [
+                ("forward", &forward as &dyn Fn() -> Vec<f32>),
+                ("backward", &backward),
+            ] {
+                let cold = sweep_bits(op);
+                let warm = sweep_bits(op);
+                for (i, run) in cold.iter().chain(&warm).enumerate() {
+                    assert_eq!(
+                        run,
+                        &cold[0],
+                        "{name} {pass} batch {batch}: {} run at {} threads diverged from cold serial",
+                        if i < SWEEP.len() { "cold" } else { "warm" },
+                        SWEEP[i % SWEEP.len()]
+                    );
+                }
+            }
+        }
+    }
+}
+
 // ------------------------------------------------------------- selector
 
 /// The plan layer must be invisible to the invariance guarantee: a warm
