@@ -13,13 +13,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> fademl-lint self-check suite (unit, property-fuzz, seeded violations)"
 cargo test -q -p fademl-lint
 
-echo "==> fademl-lint (8 passes: locks, panics, invariants, unsafe, hot-alloc, lock-io, swallowed, wire-cap)"
+echo "==> fademl-lint (7 passes: locks, panics, invariants, hot-alloc, lock-io, swallowed, wire-cap)"
 lint_started=$(date +%s)
 cargo run -p fademl-lint --release
 lint_elapsed=$(( $(date +%s) - lint_started ))
 
 echo "==> fademl-lint wall-clock budget (analysis must stay fast enough to never be skipped)"
-# Generous bound: the full 8-pass run takes well under a second; the
+# Generous bound: the full 7-pass run takes well under a second; the
 # budget catches an accidental quadratic blow-up, not normal variance.
 if [ "$lint_elapsed" -gt 30 ]; then
   echo "fademl-lint took ${lint_elapsed}s (> 30s budget)" >&2
@@ -41,6 +41,9 @@ cargo test -q --workspace
 
 echo "==> cargo test (FADEML_THREADS=2: kernels on the worker pool)"
 FADEML_THREADS=2 cargo test -q --workspace
+
+echo "==> benchmark builds against the crates (e2ebench self-tests, lockfile frozen)"
+cargo test -q --offline --locked --manifest-path e2ebench/Cargo.toml
 
 echo "==> kernel bench smoke (bit-identity gate at 1/2/4/8 threads + arena zero-grow gate)"
 cargo bench -p fademl-bench --bench kernels -- --test

@@ -39,8 +39,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-
 mod attack;
 mod bim;
 mod cw;

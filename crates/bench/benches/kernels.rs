@@ -4,12 +4,11 @@
 //! layer, GTSRB-ish mid layer, the `Paper` VGG's 4×4 and 2×2 convs at
 //! serving batch 1) plus the fully-connected head.
 //!
-//! Unlike the criterion benches this one emits machine-readable
-//! artifacts — `BENCH_kernels.json` at the repo root and
-//! `results/kernels.txt` — because it is the first datapoint of the
-//! bench trajectory. It also asserts that every workload's output is
-//! bit-identical across thread counts before timing it, so the numbers
-//! can never come from a divergent kernel.
+//! It emits machine-readable artifacts — `BENCH_kernels.json` at the
+//! repo root and `results/kernels.txt` — because it is the first
+//! datapoint of the bench trajectory. It also asserts that every
+//! workload's output is bit-identical across thread counts before
+//! timing it, so the numbers can never come from a divergent kernel.
 //!
 //! `cargo bench -p fademl-bench --bench kernels` — full run.
 //! `cargo bench -p fademl-bench --bench kernels -- --test` — CI smoke:

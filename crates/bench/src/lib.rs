@@ -10,8 +10,6 @@
 //! | `FADEML_EVAL_N` | test images per accuracy measurement | experiment-specific |
 //! | `FADEML_CSV` | `1` = sweep binaries emit CSV instead of text | off |
 
-#![forbid(unsafe_code)]
-
 use fademl::experiments::AttackParams;
 use fademl::setup::{ExperimentSetup, PreparedSetup, SetupProfile};
 

@@ -34,8 +34,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-
 mod canvas;
 mod classes;
 mod error;

@@ -33,7 +33,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 

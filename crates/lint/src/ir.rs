@@ -12,12 +12,11 @@
 //!    capped so downstream recursion is bounded). This is proven by the
 //!    fuzz suite in `tests/ir_props.rs`.
 //! 2. **Function items** — `fn` items are extracted (with their impl
-//!    type, whether the signature returns `Result`, and whether the fn
-//!    itself is `unsafe`), and each body becomes a [`Block`] of
-//!    [`Stmt`]s: multi-line statements are joined, `let` bindings and
-//!    call sites are resolved structurally (no more trailing-identifier
-//!    heuristics), nested braces become child blocks, and `unsafe`
-//!    blocks are recorded with their source line.
+//!    type and whether the signature returns `Result`), and each body
+//!    becomes a [`Block`] of [`Stmt`]s: multi-line statements are
+//!    joined, `let` bindings and call sites are resolved structurally
+//!    (no more trailing-identifier heuristics), and nested braces become
+//!    child blocks.
 //!
 //! Passes consume the AST through [`Ir`], which parses every workspace
 //! file exactly once; the call graph in [`crate::callgraph`] and all
@@ -274,8 +273,6 @@ pub struct Stmt {
     /// Nested brace blocks in source order (loop/if/match bodies,
     /// closures, plain blocks).
     pub children: Vec<Block>,
-    /// Lines of `unsafe {` block openings inside this statement.
-    pub unsafe_lines: Vec<usize>,
     /// Whether this statement defines a nested item (`fn`, `impl`,
     /// `mod`, …) — passes must not attribute its children's events to
     /// the enclosing function (the nested fn is extracted separately).
@@ -320,8 +317,6 @@ pub struct FnItem {
     pub line: usize,
     /// Whether the signature's return type mentions `Result`.
     pub returns_result: bool,
-    /// Whether the item is an `unsafe fn`.
-    pub is_unsafe: bool,
     /// The parsed body.
     pub body: Block,
 }
@@ -461,7 +456,6 @@ fn parse_fn(
         Some(Tok::Ident { text, .. }) => text.clone(),
         _ => return None, // `fn(...)` pointer type — not an item.
     };
-    let is_unsafe = fn_idx > 0 && toks[fn_idx - 1].is_ident("unsafe");
     let mut returns_result = false;
     let mut saw_arrow = false;
     let mut j = fn_idx + 2;
@@ -474,7 +468,6 @@ fn parse_fn(
                     impl_type: impl_type.map(str::to_string),
                     line: fn_line,
                     returns_result,
-                    is_unsafe,
                     body,
                 };
                 return Some((item, j + 1));
@@ -546,8 +539,7 @@ fn build_stmt(toks: &[Tok]) -> Stmt {
     let mut calls = Vec::new();
     collect_calls(toks, &mut calls);
     let mut children = Vec::new();
-    let mut unsafe_lines = Vec::new();
-    collect_children(toks, &mut children, &mut unsafe_lines);
+    collect_children(toks, &mut children);
     let defines_item = defines_item(toks);
     Stmt {
         line,
@@ -557,7 +549,6 @@ fn build_stmt(toks: &[Tok]) -> Stmt {
         lets,
         calls,
         children,
-        unsafe_lines,
         defines_item,
     }
 }
@@ -755,22 +746,13 @@ fn classify_receiver(toks: &[Tok], i: usize) -> Receiver {
     Receiver::Bare
 }
 
-/// Collects child brace blocks (and `unsafe {` lines) reachable without
-/// crossing another brace group.
-fn collect_children(toks: &[Tok], blocks: &mut Vec<Block>, unsafe_lines: &mut Vec<usize>) {
-    for (i, t) in toks.iter().enumerate() {
+/// Collects child brace blocks reachable without crossing another brace
+/// group.
+fn collect_children(toks: &[Tok], blocks: &mut Vec<Block>) {
+    for t in toks {
         match t {
-            Tok::Group(g) if g.delim == Delim::Brace => {
-                if i >= 1 {
-                    if let Tok::Ident { text, line } = &toks[i - 1] {
-                        if text == "unsafe" {
-                            unsafe_lines.push(*line);
-                        }
-                    }
-                }
-                blocks.push(build_block(g));
-            }
-            Tok::Group(g) => collect_children(&g.toks, blocks, unsafe_lines),
+            Tok::Group(g) if g.delim == Delim::Brace => blocks.push(build_block(g)),
+            Tok::Group(g) => collect_children(&g.toks, blocks),
             _ => {}
         }
     }
@@ -881,7 +863,6 @@ mod tests {
         let body = &file.fns[0].body;
         assert_eq!(body.stmts.len(), 2);
         assert_eq!(body.stmts[0].children.len(), 1);
-        assert_eq!(body.stmts[1].unsafe_lines, vec![5]);
         let all = file.fns[0].stmts();
         assert!(all.iter().any(|s| s.text.contains("inner()")));
         assert!(all.iter().any(|s| s.text.contains("wild()")));
@@ -913,7 +894,6 @@ mod tests {
     fn unsafe_fn_and_trait_decls() {
         let file = parse("trait T {\n    fn abstract_one(&self);\n}\nunsafe fn wild() { x(); }\n");
         assert_eq!(file.fns.len(), 1);
-        assert!(file.fns[0].is_unsafe);
         assert_eq!(file.fns[0].name, "wild");
     }
 

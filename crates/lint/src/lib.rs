@@ -2,12 +2,12 @@
 //!
 //! Two layers. The **shared IR** ([`ir`]) parses every file once into
 //! a delimiter-balanced token tree and a lightweight function-body AST
-//! (fn items, blocks, statements, call sites, `let` bindings, `unsafe`
-//! blocks); the **workspace call graph** ([`callgraph`]) resolves call
-//! sites by name across all crates, with a strict policy for
-//! precision-sensitive passes and a permissive one for reachability.
+//! (fn items, blocks, statements, call sites, `let` bindings); the
+//! **workspace call graph** ([`callgraph`]) resolves call sites by name
+//! across all crates, with a strict policy for precision-sensitive
+//! passes and a permissive one for reachability.
 //!
-//! Eight passes run on top:
+//! Seven passes run on top:
 //!
 //! 1. [`locks`] — inter-procedural lock-order analysis of the
 //!    detector, serving engine and network front: acquisition-order
@@ -18,13 +18,11 @@
 //! 3. [`invariants`] — project invariants clippy cannot express
 //!    (parking_lot mandate, pure batcher, NaN-safe metrics, dead error
 //!    variants, raw sockets/threads).
-//! 4. [`unsafe_confinement`] — `unsafe` confined to `tensor::simd`
-//!    with mandatory `// SAFETY:` comments (ROADMAP item 1's gate).
-//! 5. [`hot_alloc`] — allocations in compute code reachable from the
+//! 4. [`hot_alloc`] — allocations in compute code reachable from the
 //!    serve worker loop (ratcheted scratch-arena debt, DESIGN.md §18).
-//! 6. [`lock_io`] — lock guards held across blocking I/O in serve/net.
-//! 7. [`swallowed`] — silently discarded `Result`s.
-//! 8. [`wire_cap`] — wire-decoded lengths must be cap-checked before
+//! 5. [`lock_io`] — lock guards held across blocking I/O in serve/net.
+//! 6. [`swallowed`] — silently discarded `Result`s.
+//! 7. [`wire_cap`] — wire-decoded lengths must be cap-checked before
 //!    they reach an allocation in the framed codecs.
 //!
 //! All findings flow through the [`baseline`] ratchet (`lint.allow`)
@@ -32,7 +30,6 @@
 //! deterministic `results/lint.json`; each finding carries a stable
 //! fingerprint that survives line-number drift.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod baseline;
@@ -47,7 +44,6 @@ pub mod panics;
 pub mod report;
 pub mod source;
 pub mod swallowed;
-pub mod unsafe_confinement;
 pub mod wire_cap;
 
 use std::io;
@@ -133,10 +129,6 @@ pub fn collect_findings_with_stats(files: &[SourceFile]) -> (Vec<Finding>, Vec<P
     let t = Instant::now();
     let out = invariants::check(files);
     pass("invariants", out, t, &mut findings, &mut stats);
-
-    let t = Instant::now();
-    let out = unsafe_confinement::check(files);
-    pass("unsafe-confinement", out, t, &mut findings, &mut stats);
 
     let t = Instant::now();
     let out = hot_alloc::audit(&ir, files, &graph);

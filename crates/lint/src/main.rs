@@ -7,8 +7,6 @@
 //! Exit codes: `0` clean, `1` new findings beyond `lint.allow`,
 //! `2` usage / IO / malformed-baseline error.
 
-#![forbid(unsafe_code)]
-
 use std::env;
 use std::fs;
 use std::path::{Path, PathBuf};

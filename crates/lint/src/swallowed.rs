@@ -14,8 +14,8 @@
 //!
 //! A deliberate best-effort discard is *fixed*, not baselined, by
 //! annotating the statement (same line or the line above) with a
-//! `// best-effort: <why>` comment — the analogue of `// SAFETY:` in
-//! [`crate::unsafe_confinement`], and greppable the same way.
+//! `// best-effort: <why>` comment — the analogue of a `// SAFETY:`
+//! comment on an `unsafe` block, and greppable the same way.
 
 use std::collections::BTreeMap;
 

@@ -87,7 +87,7 @@ fn seeded_std_mutex_in_serve_fails_the_gate() {
 
 /// Injects one extra source file into the real workspace scan and
 /// returns the post-baseline report — the seeded-violation harness for
-/// the five new passes. Each seeded file must break the gate with a
+/// the dataflow passes. Each seeded file must break the gate with a
 /// new finding for the expected rule at the expected path.
 fn report_with_injected(path: &str, src: &str) -> fademl_lint::report::LintReport {
     let root = workspace_root();
@@ -114,13 +114,56 @@ fn assert_gate_breaks(report: &fademl_lint::report::LintReport, rule: &str, path
     );
 }
 
+/// The body of the `[header]` table in a Cargo manifest: the lines up
+/// to the next table header, trimmed, comments and blanks dropped.
+fn manifest_table<'a>(manifest: &'a str, header: &str) -> Option<Vec<&'a str>> {
+    let mut lines = manifest.lines().map(str::trim);
+    lines.find(|l| *l == header)?;
+    Some(
+        lines
+            .take_while(|l| !l.starts_with('['))
+            .filter(|l| !l.is_empty() && !l.starts_with('#'))
+            .collect(),
+    )
+}
+
 #[test]
-fn seeded_unsafe_outside_simd_fails_the_gate() {
-    let report = report_with_injected(
-        "crates/nn/src/injected.rs",
-        "pub fn sneaky(p: *const f32) -> f32 {\n    unsafe { *p }\n}\n",
+fn every_crate_inherits_the_workspace_unsafe_code_forbid() {
+    // `unsafe` is a compile error, not a lint finding: the root manifest
+    // forbids it and every crate inherits the table, so tests, benches,
+    // examples and bins are covered too. A crate without `[lints]
+    // workspace = true` would silently opt out.
+    let root = workspace_root();
+    let manifest = fs::read_to_string(root.join("Cargo.toml")).expect("root Cargo.toml exists");
+    let lints = manifest_table(&manifest, "[workspace.lints.rust]")
+        .expect("root Cargo.toml has a [workspace.lints.rust] table");
+    assert!(
+        lints.contains(&r#"unsafe_code = "forbid""#),
+        "root Cargo.toml must set unsafe_code = \"forbid\"; got {lints:?}"
     );
-    assert_gate_breaks(&report, "unsafe-confinement", "crates/nn/src/injected.rs");
+
+    let mut crates = 0;
+    for entry in fs::read_dir(root.join("crates")).expect("crates/ exists") {
+        let path = entry
+            .expect("crates/ entry readable")
+            .path()
+            .join("Cargo.toml");
+        let Ok(manifest) = fs::read_to_string(&path) else {
+            continue;
+        };
+        crates += 1;
+        let lints = manifest_table(&manifest, "[lints]")
+            .unwrap_or_else(|| panic!("{} has no [lints] table", path.display()));
+        assert!(
+            lints.contains(&"workspace = true"),
+            "{} must inherit the workspace lints with `workspace = true`; got {lints:?}",
+            path.display()
+        );
+    }
+    assert!(
+        crates >= 11,
+        "crates/ walk looks truncated: {crates} manifests"
+    );
 }
 
 #[test]

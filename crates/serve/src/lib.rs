@@ -73,7 +73,6 @@
 //! println!("{}", server.shutdown().render());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
